@@ -14,7 +14,11 @@
 //!   (barrier team, per-diagonal fork/join, work stealing) is resolved
 //!   per request by the measured cost model ([`slcs_semilocal::tuning`],
 //!   fed by `slcs tune`), recorded in `slcs_sched_mode_total{mode}` and
-//!   the `engine.dispatch` instant's `sched` field.
+//!   the `engine.dispatch` instant's `sched` field. Every sweep combs
+//!   its diagonal slices with the byte kernel
+//!   [`slcs_semilocal::comb_kernel`] names for the grid — AVX-512BW or
+//!   AVX2 on `u16` strand lanes while `m + n ≤ 2¹⁶`, selected once per
+//!   process from the running CPU, else the scalar loop.
 //! * **Output-sensitive BFS** (`slcs-osed`) — Landau–Vishkin O(n + d²)
 //!   edit distance. Wins by orders of magnitude when the inputs are
 //!   nearly equal (small d), loses badly when they are not, so the
@@ -29,15 +33,17 @@
 //! can read it back from METRICS (`slcs_dispatch_total{algo,reason}`).
 //! [`execute`] layers the kernel cache on top — a cached kernel beats
 //! every fresh computation, so the cache is always consulted first for
-//! kernel-based operations.
+//! kernel-based operations. Each fresh comb bumps
+//! `slcs_comb_kernel_total{isa}` for the kernel that ran; the sequential
+//! route's row-major comb counts as `scalar`.
 
 use crate::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use slcs_bitpar::bit_lcs_alphabet;
 use slcs_semilocal::{
-    auto_plan, iterative_combing, par_antidiag_combing_branchless_sched, EditDistances,
-    SemiLocalKernel,
+    auto_plan, comb_kernel, iterative_combing, par_antidiag_combing_branchless_sched,
+    EditDistances, Isa, SemiLocalKernel,
 };
 
 use crate::cache::{CacheKey, CachedIndex, IndexKind, KernelCache, PlainEntry};
@@ -187,6 +193,7 @@ fn comb(
             // algo token, so the span carries sched + area).
             let (mode, grain) = auto_plan(pattern.len(), text.len(), tasks);
             metrics.note_sched_mode(mode);
+            metrics.note_comb_kernel(comb_kernel(pattern.len(), text.len()));
             let _build_span = slcs_trace::span!(
                 "engine.kernel_build",
                 "sched" => mode.token(),
@@ -201,6 +208,8 @@ fn comb(
             )
         }
         _ => {
+            // The row-major comb runs the scalar loop.
+            metrics.note_comb_kernel(Isa::Scalar);
             let _build_span = slcs_trace::span!(
                 "engine.kernel_build",
                 "sched" => "seq",

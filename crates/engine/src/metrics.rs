@@ -28,6 +28,8 @@
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use slcs_semilocal::Isa;
+
 use crate::request::DispatchReason;
 
 const BUCKETS: usize = 32;
@@ -165,6 +167,10 @@ pub struct Metrics {
     /// `slcs_sched_mode_total` series. `Auto` requests are counted
     /// under the concrete mode the tuning profile resolved them to.
     pub sched_modes: [AtomicU64; SCHED_MODE_TOKENS.len()],
+    /// Fresh combs, one counter per diagonal kernel that ran (indexed by
+    /// `isa as usize`, the order of [`Isa::ALL`]) — the
+    /// `slcs_comb_kernel_total` series.
+    pub comb_kernels: [AtomicU64; Isa::ALL.len()],
     /// Protocol/request errors, one counter per [`ErrorKind`] (indexed
     /// by [`ErrorKind::index`]) — the `slcs_engine_errors_total` series.
     pub errors: [AtomicU64; ErrorKind::COUNT],
@@ -239,6 +245,12 @@ impl Metrics {
         self.dispatch[reason.index()].fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Records the diagonal kernel one fresh comb ran on.
+    pub fn note_comb_kernel(&self, isa: Isa) {
+        // ORDERING: Relaxed — independent monotonic metrics counter; nothing is published through it.
+        self.comb_kernels[isa as usize].fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Records one protocol/request error.
     pub fn note_error(&self, kind: ErrorKind) {
         // ORDERING: Relaxed — independent monotonic metrics counter; nothing is published through it.
@@ -275,6 +287,7 @@ impl Metrics {
             max_queue_depth: self.max_queue_depth.load(Ordering::Relaxed),
             dispatch: std::array::from_fn(|i| self.dispatch[i].load(Ordering::Relaxed)),
             sched_modes: std::array::from_fn(|i| self.sched_modes[i].load(Ordering::Relaxed)),
+            comb_kernels: std::array::from_fn(|i| self.comb_kernels[i].load(Ordering::Relaxed)),
             errors: std::array::from_fn(|i| self.errors[i].load(Ordering::Relaxed)),
             queue_depth,
             windows: crate::windows::WindowsSnapshot::default(),
@@ -306,6 +319,9 @@ pub struct StatsSnapshot {
     /// Grid-parallel scheduling-mode counts, index-aligned with
     /// [`SCHED_MODE_TOKENS`].
     pub sched_modes: [u64; SCHED_MODE_TOKENS.len()],
+    /// Fresh-comb counts per diagonal kernel, index-aligned with
+    /// [`Isa::ALL`].
+    pub comb_kernels: [u64; Isa::ALL.len()],
     /// Protocol/request error counts, indexed by [`ErrorKind::index`].
     pub errors: [u64; ErrorKind::COUNT],
     /// Rolling-window latency quantile data per request class (filled by
@@ -323,10 +339,10 @@ pub struct StatsSnapshot {
     /// counter, but surfaced here so STATS readers can correlate latency
     /// shifts with scheduling granularity.
     pub par_grain: usize,
-    /// Gauge-at-snapshot: the SIMD capability the branchless kernels
-    /// compile/dispatch for on this host (`slcs_semilocal::simd_support`)
-    /// — configuration like `par_grain`, surfaced so ops can tell an ISA
-    /// downgrade from a genuine perf regression.
+    /// Gauge-at-snapshot: the diagonal kernel this process selected for
+    /// its byte combs (`slcs_semilocal::simd_support`) — configuration
+    /// like `par_grain`, surfaced so ops can tell an ISA downgrade from a
+    /// genuine perf regression. `comb_kernels` counts what actually ran.
     pub simd: &'static str,
     /// Process-wide allocator telemetry from `slcs-alloc` (all zeros
     /// unless the binary installed [`slcs_alloc::InstrumentedAlloc`]
@@ -377,6 +393,11 @@ impl StatsSnapshot {
         for (token, count) in SCHED_MODE_TOKENS.iter().zip(&self.sched_modes) {
             let _ = writeln!(out, "slcs_sched_mode_total{{mode=\"{token}\"}} {count}");
         }
+        // Diagonal kernels fresh combs ran on, stable-zero per ISA.
+        let _ = writeln!(out, "# TYPE slcs_comb_kernel_total counter");
+        for (isa, count) in Isa::ALL.iter().zip(&self.comb_kernels) {
+            let _ = writeln!(out, "slcs_comb_kernel_total{{isa=\"{}\"}} {count}", isa.token());
+        }
         // Protocol/request errors, stable-zero per kind.
         let _ = writeln!(out, "# TYPE slcs_engine_errors_total counter");
         for kind in ErrorKind::ALL {
@@ -397,9 +418,6 @@ impl StatsSnapshot {
             let _ = writeln!(out, "# TYPE {name} gauge");
             let _ = writeln!(out, "{name} {value}");
         }
-        // Info-style gauge: which branchless-kernel ISA this host runs.
-        let _ = writeln!(out, "# TYPE slcs_simd_kernel gauge");
-        let _ = writeln!(out, "slcs_simd_kernel{{isa=\"{}\"}} 1", self.simd);
         write_prometheus_histogram(&mut out, "slcs_wait_micros", &self.wait_micros);
         write_prometheus_histogram(&mut out, "slcs_service_micros", &self.service_micros);
         self.write_alloc_section(&mut out);
@@ -690,6 +708,9 @@ mod tests {
         m.note_sched_mode(slcs_semilocal::Scheduling::WorkSteal);
         m.note_sched_mode(slcs_semilocal::Scheduling::WorkSteal);
         m.note_sched_mode(slcs_semilocal::Scheduling::Team);
+        m.note_comb_kernel(Isa::Avx2);
+        m.note_comb_kernel(Isa::Avx2);
+        m.note_comb_kernel(Isa::Scalar);
         let s = m.snapshot(0);
         assert_eq!(s.sched_modes.iter().sum::<u64>(), 3);
         let text = s.to_prometheus();
@@ -700,8 +721,14 @@ mod tests {
         for token in SCHED_MODE_TOKENS {
             assert!(text.contains(&format!("mode=\"{token}\"")), "missing {token}:\n{text}");
         }
+        assert_eq!(s.comb_kernels.iter().sum::<u64>(), 3);
+        assert!(text.contains("# TYPE slcs_comb_kernel_total counter"), "{text}");
+        assert!(text.contains("slcs_comb_kernel_total{isa=\"avx2\"} 2"), "{text}");
+        assert!(text.contains("slcs_comb_kernel_total{isa=\"scalar\"} 1"), "{text}");
+        // Stable-zero: every ISA label appears even when unused.
+        assert!(text.contains("slcs_comb_kernel_total{isa=\"avx512\"} 0"), "{text}");
+        assert!(!text.contains("slcs_simd_kernel"), "{text}");
         let isa = slcs_semilocal::simd_support();
-        assert!(text.contains(&format!("slcs_simd_kernel{{isa=\"{isa}\"}} 1")), "{text}");
         let human = s.to_string();
         assert!(human.contains(&format!("simd={isa}")), "{human}");
         assert!(human.contains("work_steal=2"), "{human}");

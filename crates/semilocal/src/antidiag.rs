@@ -11,20 +11,24 @@
 //!   condition — fewer memory writes, but branch mispredictions and no
 //!   vectorization;
 //! * the **branchless** inner loop (`semi_antidiag_SIMD`) replaces the
-//!   branch with mask arithmetic `h' = (h & (p−1)) | ((−p) & v)`, which
-//!   LLVM auto-vectorizes (the paper's hand-written AVX2 plays the same
-//!   role);
+//!   branch with mask arithmetic `h' = (h & (p−1)) | ((−p) & v)`, so
+//!   the compiler may vectorize it for the build's baseline target
+//!   (SSE2 on x86-64 — the release build sets no target CPU);
 //! * the **16-bit** variant packs strand indices into `u16` when
 //!   `m + n ≤ 2¹⁶`, doubling the SIMD lane count (§4.1, last paragraph).
 //!
 //! Thread-parallel versions split each diagonal across the current rayon
 //! pool, with a synchronization barrier per diagonal — exactly the cost
-//! model discussed in §4.1 of the paper.
+//! model discussed in §4.1 of the paper. The sweeps take a per-slice
+//! kernel: the paper's entry points pass the loops above, and
+//! [`par_antidiag_combing_branchless_sched`] (the engine's route) passes
+//! the runtime-selected byte kernel of [`crate::simd`] on `u16` strands.
 
 use rayon::prelude::*;
 
 use crate::iterative::build_kernel;
 use crate::kernel::SemiLocalKernel;
+use crate::simd::{byte_kernel, comb_diag_bytes};
 
 /// Strand-index storage: `u32` for general inputs, `u16` when
 /// `m + n ≤ 2¹⁶` (the paper's SIMD-width optimization).
@@ -78,7 +82,7 @@ pub(crate) fn diag_ranges(m: usize, n: usize, d: usize) -> (usize, usize, usize)
 }
 
 /// Shared driver: sweep all anti-diagonals, processing each with `inloop`.
-fn sweep<T, S, F>(a: &[T], b: &[T], inloop: F) -> SemiLocalKernel
+pub(crate) fn sweep<T, S, F>(a: &[T], b: &[T], inloop: F) -> SemiLocalKernel
 where
     T: Eq + Clone + Sync,
     S: StrandIx,
@@ -122,24 +126,33 @@ fn cell_branchless<T: Eq, S: StrandIx>(ac: &T, bc: &T, h: &mut S, v: &mut S) {
     *v = nv;
 }
 
+/// The branching inner loop over one diagonal slice.
+#[inline(always)]
+fn branching_slice<T: Eq, S: StrandIx>(ar: &[T], bs: &[T], hs: &mut [S], vs: &mut [S]) {
+    for ((ac, bc), (h, v)) in ar.iter().zip(bs).zip(hs.iter_mut().zip(vs)) {
+        cell_branching(ac, bc, h, v);
+    }
+}
+
+/// The branchless inner loop over one diagonal slice — the paper's
+/// loops, and the scalar kernel and SIMD tail of [`crate::simd`].
+#[inline(always)]
+pub(crate) fn branchless_slice<T: Eq, S: StrandIx>(ar: &[T], bs: &[T], hs: &mut [S], vs: &mut [S]) {
+    for ((ac, bc), (h, v)) in ar.iter().zip(bs).zip(hs.iter_mut().zip(vs)) {
+        cell_branchless(ac, bc, h, v);
+    }
+}
+
 /// `semi_antidiag`: sequential anti-diagonal combing with the branching
 /// inner loop.
 pub fn antidiag_combing<T: Eq + Clone + Sync>(a: &[T], b: &[T]) -> SemiLocalKernel {
-    sweep::<_, u32, _>(a, b, |ar, bs, hs, vs| {
-        for ((ac, bc), (h, v)) in ar.iter().zip(bs).zip(hs.iter_mut().zip(vs)) {
-            cell_branching(ac, bc, h, v);
-        }
-    })
+    sweep::<_, u32, _>(a, b, branching_slice)
 }
 
 /// `semi_antidiag_SIMD`: sequential anti-diagonal combing with the
 /// branchless (auto-vectorizable) inner loop, 32-bit strand indices.
 pub fn antidiag_combing_branchless<T: Eq + Clone + Sync>(a: &[T], b: &[T]) -> SemiLocalKernel {
-    sweep::<_, u32, _>(a, b, |ar, bs, hs, vs| {
-        for ((ac, bc), (h, v)) in ar.iter().zip(bs).zip(hs.iter_mut().zip(vs)) {
-            cell_branchless(ac, bc, h, v);
-        }
-    })
+    sweep::<_, u32, _>(a, b, branchless_slice)
 }
 
 /// Branchless anti-diagonal combing with 16-bit strand indices — double
@@ -154,11 +167,7 @@ pub fn antidiag_combing_u16<T: Eq + Clone + Sync>(a: &[T], b: &[T]) -> SemiLocal
         "u16 strand indices require m + n ≤ 65536 (got {})",
         a.len() + b.len()
     );
-    sweep::<_, u16, _>(a, b, |ar, bs, hs, vs| {
-        for ((ac, bc), (h, v)) in ar.iter().zip(bs).zip(hs.iter_mut().zip(vs)) {
-            cell_branchless(ac, bc, h, v);
-        }
-    })
+    sweep::<_, u16, _>(a, b, branchless_slice)
 }
 
 /// Cells per parallel task; below this a diagonal chunk is not worth
@@ -270,16 +279,16 @@ impl<S> SharedStrands<S> {
 /// `TRACED = false` compiles the span sites out entirely (not even the
 /// enabled-check load remains) — the zero-instrumentation baseline that
 /// `slcs bench-obs` measures disabled-tracing overhead against.
-fn sweep_wavefront<T, S, C, const TRACED: bool>(
+fn sweep_wavefront<T, S, K, const TRACED: bool>(
     a: &[T],
     b: &[T],
     grain: usize,
-    cell: C,
+    kernel: K,
 ) -> SemiLocalKernel
 where
     T: Eq + Clone + Sync,
     S: StrandIx,
-    C: Fn(&T, &T, &mut S, &mut S) + Sync,
+    K: Fn(&[T], &[T], &mut [S], &mut [S]) + Sync,
 {
     let m = a.len();
     let n = b.len();
@@ -290,11 +299,7 @@ where
     let grain = grain.max(1);
     let team = rayon::current_num_threads().min(m.min(n) / grain).max(1);
     if team <= 1 {
-        return sweep::<_, S, _>(a, b, |ar, bs, hs, vs| {
-            for ((ac, bc), (h, v)) in ar.iter().zip(bs).zip(hs.iter_mut().zip(vs)) {
-                cell(ac, bc, h, v);
-            }
-        });
+        return sweep(a, b, kernel);
     }
     let a_rev: Vec<T> = a.iter().rev().cloned().collect();
     let mut h_strands: Vec<S> = (0..m).map(S::from_usize).collect();
@@ -338,11 +343,7 @@ where
                     let hs = unsafe { h.range_mut(h0 + lo, h0 + hi) };
                     // SAFETY: same disjoint-range argument as for `hs` above.
                     let vs = unsafe { v.range_mut(v0 + lo, v0 + hi) };
-                    let ar = &a_rev[h0 + lo..h0 + hi];
-                    let bs = &b[v0 + lo..v0 + hi];
-                    for ((ac, bc), (hr, vr)) in ar.iter().zip(bs).zip(hs.iter_mut().zip(vs)) {
-                        cell(ac, bc, hr, vr);
-                    }
+                    kernel(&a_rev[h0 + lo..h0 + hi], &b[v0 + lo..v0 + hi], hs, vs);
                 }
                 if !view.barrier() {
                     return;
@@ -386,16 +387,16 @@ where
 /// edges: the leader polls [`rayon::TeamView::poisoned`] while waiting,
 /// members poll it and a `done` flag while stealing, and `team_run`
 /// joins every member before this frame (and the strand vectors) drops.
-fn sweep_wavefront_ws<T, S, C, const TRACED: bool>(
+fn sweep_wavefront_ws<T, S, K, const TRACED: bool>(
     a: &[T],
     b: &[T],
     grain: usize,
-    cell: C,
+    kernel: K,
 ) -> SemiLocalKernel
 where
     T: Eq + Clone + Sync,
     S: StrandIx,
-    C: Fn(&T, &T, &mut S, &mut S) + Sync,
+    K: Fn(&[T], &[T], &mut [S], &mut [S]) + Sync,
 {
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
@@ -408,11 +409,7 @@ where
     let grain = grain.max(1);
     let team = rayon::current_num_threads().min(m.min(n) / grain).max(1);
     if team <= 1 {
-        return sweep::<_, S, _>(a, b, |ar, bs, hs, vs| {
-            for ((ac, bc), (h, v)) in ar.iter().zip(bs).zip(hs.iter_mut().zip(vs)) {
-                cell(ac, bc, h, v);
-            }
-        });
+        return sweep(a, b, kernel);
     }
     let a_rev: Vec<T> = a.iter().rev().cloned().collect();
     let mut h_strands: Vec<S> = (0..m).map(S::from_usize).collect();
@@ -462,11 +459,7 @@ where
                 let hs = unsafe { h.range_mut(h0 + lo, h0 + hi) };
                 // SAFETY: same disjoint-range argument as for `hs`.
                 let vs = unsafe { v.range_mut(v0 + lo, v0 + hi) };
-                let ar = &a_rev[h0 + lo..h0 + hi];
-                let bs = &b[v0 + lo..v0 + hi];
-                for ((ac, bc), (hr, vr)) in ar.iter().zip(bs).zip(hs.iter_mut().zip(vs)) {
-                    cell(ac, bc, hr, vr);
-                }
+                kernel(&a_rev[h0 + lo..h0 + hi], &b[v0 + lo..v0 + hi], hs, vs);
             };
             if view.id != 0 {
                 // Member: free-running steal loop. Escalating backoff
@@ -574,17 +567,14 @@ fn spawn_per_diag_inloop<T: Eq + Sync, S: StrandIx>(
     bs: &[T],
     hs: &mut [S],
     vs: &mut [S],
-    cell: impl Fn(&T, &T, &mut S, &mut S) + Copy + Send + Sync,
+    kernel: &(impl Fn(&[T], &[T], &mut [S], &mut [S]) + Sync),
 ) {
     let len = hs.len();
     let pieces = rayon::current_num_threads().min(len / grain.max(1)).max(1);
-    let chunk = len.div_ceil(pieces);
     if pieces <= 1 {
-        for ((ac, bc), (h, v)) in ar.iter().zip(bs).zip(hs.iter_mut().zip(vs)) {
-            cell(ac, bc, h, v);
-        }
-        return;
+        return kernel(ar, bs, hs, vs);
     }
+    let chunk = len.div_ceil(pieces);
     std::thread::scope(|s| {
         for (((hc, vc), ac), bc) in hs
             .chunks_mut(chunk)
@@ -592,46 +582,71 @@ fn spawn_per_diag_inloop<T: Eq + Sync, S: StrandIx>(
             .zip(ar.chunks(chunk))
             .zip(bs.chunks(chunk))
         {
-            s.spawn(move || {
-                for ((a1, b1), (h, v)) in ac.iter().zip(bc).zip(hc.iter_mut().zip(vc)) {
-                    cell(a1, b1, h, v);
-                }
-            });
+            s.spawn(move || kernel(ac, bc, hc, vc));
         }
     });
 }
 
-/// Branchless parallel combing under an explicit [`Scheduling`] mode and
-/// grain — the knob pair behind `bench-baseline`'s before/after
-/// comparison and the grain ablation of §4.1.
-pub fn par_antidiag_combing_branchless_sched<T: Eq + Clone + Sync>(
-    a: &[T],
-    b: &[T],
+/// Branchless parallel combing of bytes under an explicit [`Scheduling`]
+/// mode and grain — the engine's grid route, and the knob pair behind
+/// `bench-baseline`'s before/after comparison and the grain ablation of
+/// §4.1.
+///
+/// While `m + n ≤ 2¹⁶` strands are `u16` and every sweep combs its
+/// diagonal slices with the byte kernel of the ISA
+/// [`comb_kernel`](crate::simd::comb_kernel) names ([`crate::simd`]);
+/// above that strands are `u32` and the slices run the scalar
+/// branchless loop. `pool_per_diag` keeps its per-cell loop.
+pub fn par_antidiag_combing_branchless_sched(
+    a: &[u8],
+    b: &[u8],
     sched: Scheduling,
     grain: usize,
 ) -> SemiLocalKernel {
+    match byte_kernel(a.len(), b.len()) {
+        Some(isa) => {
+            let kernel = move |ar: &[u8], bs: &[u8], hs: &mut [u16], vs: &mut [u16]| {
+                // SAFETY: `byte_kernel` only returns the `selected` ISA,
+                // which the running CPU has.
+                unsafe { comb_diag_bytes(isa, ar, bs, hs, vs) }
+            };
+            schedule(a, b, sched, grain, &kernel)
+        }
+        None => schedule(a, b, sched, grain, &branchless_slice::<u8, u32>),
+    }
+}
+
+/// [`par_antidiag_combing_branchless_sched`] at one strand width, with
+/// `kernel` combing each diagonal slice.
+fn schedule<S, K>(
+    a: &[u8],
+    b: &[u8],
+    sched: Scheduling,
+    grain: usize,
+    kernel: &K,
+) -> SemiLocalKernel
+where
+    S: StrandIx,
+    K: Fn(&[u8], &[u8], &mut [S], &mut [S]) + Sync,
+{
     let grain = grain.max(1);
     match sched {
-        Scheduling::SpawnPerDiag => sweep::<_, u32, _>(a, b, |ar, bs, hs, vs| {
-            spawn_per_diag_inloop(grain, ar, bs, hs, vs, cell_branchless::<T, u32>);
+        Scheduling::SpawnPerDiag => sweep(a, b, |ar, bs, hs, vs| {
+            spawn_per_diag_inloop(grain, ar, bs, hs, vs, kernel);
         }),
-        Scheduling::PoolPerDiag => sweep::<_, u32, _>(a, b, |ar, bs, hs, vs| {
+        Scheduling::PoolPerDiag => sweep::<_, S, _>(a, b, |ar, bs, hs, vs| {
             hs.par_iter_mut()
                 .with_min_len(grain)
                 .zip(vs.par_iter_mut())
                 .zip(ar.par_iter().zip(bs.par_iter()))
                 .for_each(|((h, v), (ac, bc))| cell_branchless(ac, bc, h, v));
         }),
-        Scheduling::Team => {
-            sweep_wavefront::<_, u32, _, true>(a, b, grain, cell_branchless::<T, u32>)
-        }
-        Scheduling::WorkSteal => {
-            sweep_wavefront_ws::<_, u32, _, true>(a, b, grain, cell_branchless::<T, u32>)
-        }
+        Scheduling::Team => sweep_wavefront::<_, S, _, true>(a, b, grain, kernel),
+        Scheduling::WorkSteal => sweep_wavefront_ws::<_, S, _, true>(a, b, grain, kernel),
         Scheduling::Auto => {
             let (mode, grain) =
                 crate::tuning::auto_plan(a.len(), b.len(), rayon::current_num_threads());
-            par_antidiag_combing_branchless_sched(a, b, mode, grain)
+            schedule(a, b, mode, grain, kernel)
         }
     }
 }
@@ -644,7 +659,7 @@ pub fn par_antidiag_combing_branchless_grain<T: Eq + Clone + Sync>(
     b: &[T],
     grain: usize,
 ) -> SemiLocalKernel {
-    sweep_wavefront::<_, u32, _, true>(a, b, grain, cell_branchless::<T, u32>)
+    sweep_wavefront::<_, u32, _, true>(a, b, grain, branchless_slice::<T, u32>)
 }
 
 /// Trace-free twin of [`par_antidiag_combing_branchless_grain`]: the
@@ -658,19 +673,19 @@ pub fn par_antidiag_combing_branchless_untraced<T: Eq + Clone + Sync>(
     b: &[T],
     grain: usize,
 ) -> SemiLocalKernel {
-    sweep_wavefront::<_, u32, _, false>(a, b, grain, cell_branchless::<T, u32>)
+    sweep_wavefront::<_, u32, _, false>(a, b, grain, branchless_slice::<T, u32>)
 }
 
 /// Thread-parallel `semi_antidiag` (branching inner loop): one worker
 /// team for the whole sweep, a barrier per anti-diagonal (Listing 4).
 pub fn par_antidiag_combing<T: Eq + Clone + Sync>(a: &[T], b: &[T]) -> SemiLocalKernel {
-    sweep_wavefront::<_, u32, _, true>(a, b, par_grain(), cell_branching::<T, u32>)
+    sweep_wavefront::<_, u32, _, true>(a, b, par_grain(), branching_slice::<T, u32>)
 }
 
 /// Thread-parallel branchless anti-diagonal combing
 /// (`semi_antidiag_SIMD`'s parallel form from Figures 7–8).
 pub fn par_antidiag_combing_branchless<T: Eq + Clone + Sync>(a: &[T], b: &[T]) -> SemiLocalKernel {
-    sweep_wavefront::<_, u32, _, true>(a, b, par_grain(), cell_branchless::<T, u32>)
+    sweep_wavefront::<_, u32, _, true>(a, b, par_grain(), branchless_slice::<T, u32>)
 }
 
 /// Thread-parallel branchless combing with 16-bit strand indices.
@@ -684,7 +699,7 @@ pub fn par_antidiag_combing_u16<T: Eq + Clone + Sync>(a: &[T], b: &[T]) -> SemiL
         "u16 strand indices require m + n ≤ 65536 (got {})",
         a.len() + b.len()
     );
-    sweep_wavefront::<_, u16, _, true>(a, b, par_grain(), cell_branchless::<T, u16>)
+    sweep_wavefront::<_, u16, _, true>(a, b, par_grain(), branchless_slice::<T, u16>)
 }
 
 #[cfg(test)]

@@ -63,5 +63,5 @@ pub use iterative::iterative_combing;
 pub use kernel::{SemiLocalKernel, SemiLocalScores};
 pub use load_balanced::load_balanced_combing;
 pub use recursive::recursive_combing;
-pub use simd::{antidiag_combing_simd, simd_support};
+pub use simd::{antidiag_combing_simd, comb_kernel, simd_support, Isa};
 pub use tuning::{auto_plan, parse_profile, TuningEntry, TuningProfile, TUNING_VERSION};

@@ -67,19 +67,24 @@ proptest! {
     }
 }
 
-/// The u16 variant packs strand indices into 16 bits, so `m + n` may be
-/// at most 65536. Exercise exactly that boundary (with a skewed shape so
-/// the test stays fast) and one cell short of it.
+/// The u16 variants pack strand indices into 16 bits, so `m + n` may be
+/// at most 65536. Exercise one short of that boundary, exactly that
+/// boundary, and one past it (with a skewed shape so the test stays
+/// fast). Past it only the scheduled sweep applies: its strands switch
+/// to u32, where `par_antidiag_combing_u16` rightly panics.
 #[test]
 fn u16_boundary_at_exactly_two_pow_16() {
     small_grain();
     let mut rng = semilocal_suite::datagen::seeded_rng(7);
-    for n in [200usize, 199] {
-        let m = (1usize << 16) - n;
+    let n = 200usize;
+    for total in [(1usize << 16) - 1, 1 << 16, (1 << 16) + 1] {
+        let m = total - n;
         let a = semilocal_suite::datagen::uniform_string(&mut rng, m, 4);
         let b = semilocal_suite::datagen::uniform_string(&mut rng, n, 4);
         let expected = iterative_combing(&a, &b);
-        assert_eq!(par_antidiag_combing_u16(&a, &b), expected, "m={m} n={n}");
+        if total <= 1 << 16 {
+            assert_eq!(par_antidiag_combing_u16(&a, &b), expected, "m={m} n={n}");
+        }
         // The boundary must also hold under the coordinated sweeps with
         // a grain small enough to split the short diagonals: the barrier
         // team and the barrier-free work-stealing sweep.

@@ -88,10 +88,11 @@ fn panic_in_forked_arm_propagates_and_pool_survives() {
 
 #[test]
 fn panic_in_first_arm_wins_and_second_arm_completes() {
-    // A ≥2-thread budget forces the forked path: the second arm is
-    // published to the pool before the first arm panics, so `join` must
-    // wait for it even while unwinding. (Under a budget of 1, `join`
-    // degrades to sequential and the second arm legitimately never runs.)
+    // On the forked path the second arm is published to the pool before
+    // the first arm panics, so `join` must wait for it even while
+    // unwinding. When another test holds the process-wide fork budget,
+    // `join` runs both arms inline instead, and must still run the
+    // second arm after the first one panics.
     let pool = rayon::ThreadPoolBuilder::new().num_threads(2).build().unwrap();
     let ran_b = AtomicUsize::new(0);
     let caught = catch_unwind(AssertUnwindSafe(|| {

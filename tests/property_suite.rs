@@ -17,7 +17,7 @@ use semilocal_suite::semilocal::reference::BruteHMatrix;
 use semilocal_suite::semilocal::simd::antidiag_combing_simd;
 use semilocal_suite::semilocal::{
     antidiag_combing_branchless, hybrid_combing, iterative_combing, load_balanced_combing,
-    recursive_combing, EditDistances,
+    par_antidiag_combing_branchless_sched, recursive_combing, EditDistances, Scheduling,
 };
 
 fn perm_of(n: usize) -> impl Strategy<Value = Permutation> {
@@ -208,6 +208,14 @@ proptest! {
         b in proptest::collection::vec(0u32..4, 1..128),
     ) {
         prop_assert_eq!(antidiag_combing_simd(&a, &b), iterative_combing(&a, &b));
+        // The same pair as bytes through the engine's scheduled comb: the
+        // selected ISA's byte kernel on u16 strand lanes.
+        let a: Vec<u8> = a.iter().map(|&c| c as u8).collect();
+        let b: Vec<u8> = b.iter().map(|&c| c as u8).collect();
+        prop_assert_eq!(
+            par_antidiag_combing_branchless_sched(&a, &b, Scheduling::WorkSteal, 8),
+            iterative_combing(&a, &b)
+        );
     }
 
     #[test]
