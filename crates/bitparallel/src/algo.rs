@@ -184,8 +184,10 @@ pub fn par_bit_lcs_new2(a: &[u8], b: &[u8]) -> usize {
 /// Small-alphabet extension (the paper's §6 future-work direction):
 /// symbols are compared plane-wise (one XNOR per bit plane), everything
 /// else — anti-diagonal blocks, carry-free combing, Kernighan count —
-/// is unchanged. Supports byte alphabets up to 256 symbols; cost grows
-/// by one XNOR+AND per extra plane.
+/// is unchanged. Supports byte alphabets up to 256 symbols. The σ
+/// symbols in use are rank-coded first, so the pair takes ⌈log₂ σ⌉
+/// planes whatever its byte values; cost grows by one XNOR+AND per
+/// extra plane.
 ///
 /// # Examples
 ///
@@ -206,8 +208,8 @@ pub fn par_bit_lcs_alphabet(a: &[u8], b: &[u8]) -> usize {
 }
 
 fn dispatch_planes(a: &[u8], b: &[u8], parallel: bool) -> usize {
-    let max = a.iter().chain(b).copied().max().unwrap_or(0);
-    let planes = planes_for(max);
+    let (a, b, planes) = rank_code(a, b);
+    let (a, b) = (&a[..], &b[..]);
     let access = MemAccess::PerBlock(Formula::Optimized);
     match planes {
         1 => driver::<1>(a, b, access, parallel),
@@ -219,6 +221,26 @@ fn dispatch_planes(a: &[u8], b: &[u8], parallel: bool) -> usize {
         7 => driver::<7>(a, b, access, parallel),
         _ => driver::<8>(a, b, access, parallel),
     }
+}
+
+/// Rank-codes the σ distinct bytes `a` and `b` use to `0..σ`, in byte
+/// order, and returns the coded copies with their plane count
+/// ⌈log₂ σ⌉ (at least 1). The planes then follow σ, not the largest
+/// byte value: ASCII "ACGT" needs 2, not 7. LCS only tests symbols for
+/// equality, so the coding leaves the score unchanged.
+fn rank_code(a: &[u8], b: &[u8]) -> (Vec<u8>, Vec<u8>, u32) {
+    let mut seen = [false; 256];
+    for &c in a.iter().chain(b) {
+        seen[usize::from(c)] = true;
+    }
+    let mut rank = [0u8; 256];
+    let mut sigma = 0usize;
+    for c in (0..256).filter(|&c| seen[c]) {
+        rank[c] = sigma as u8; // at most 255: one rank per distinct byte
+        sigma += 1;
+    }
+    let code = |s: &[u8]| s.iter().map(|&c| rank[usize::from(c)]).collect();
+    (code(a), code(b), planes_for(sigma.saturating_sub(1) as u8))
 }
 
 #[cfg(test)]
@@ -309,6 +331,39 @@ mod tests {
                 assert_eq!(par_bit_lcs_alphabet(&a, &b), want, "par σ={sigma}");
             }
         }
+    }
+
+    #[test]
+    fn planes_follow_sigma_not_the_largest_byte() {
+        let planes = |a: &[u8], b: &[u8]| rank_code(a, b).2;
+        assert_eq!(planes(b"ACGTTGCA", b"GATTACA"), 2);
+        assert_eq!(planes(&[0, 255, 0], &[255]), 1);
+        assert_eq!(planes(b"TTTT", b"TT"), 1);
+        assert_eq!(planes(b"", b""), 1);
+        let all: Vec<u8> = (0..=255).collect();
+        assert_eq!(planes(&all, b""), 8);
+        let (a, b, _) = rank_code(b"TAG", b"GCT");
+        assert_eq!((a, b), (vec![3, 0, 2], vec![2, 1, 3]), "ranks follow byte order");
+    }
+
+    #[test]
+    fn ascii_pairs_and_their_rank_codes_both_match_dp() {
+        let mut rng = rng();
+        let mut ascii = |len: usize| -> Vec<u8> {
+            (0..len).map(|_| b"ACGT"[rng.random_range(0..4usize)]).collect()
+        };
+        for (m, n) in [(1usize, 1usize), (63, 65), (150, 200), (300, 129)] {
+            let (a, b) = (ascii(m), ascii(n));
+            let want = prefix_rowmajor(&a, &b);
+            let (ra, rb, planes) = rank_code(&a, &b);
+            assert!(planes <= 2, "σ ≤ 4 takes at most 2 planes, got {planes}");
+            assert_eq!(bit_lcs_alphabet(&a, &b), want, "ASCII m={m} n={n}");
+            assert_eq!(bit_lcs_alphabet(&ra, &rb), want, "rank-coded m={m} n={n}");
+            assert_eq!(par_bit_lcs_alphabet(&a, &b), want, "par ASCII m={m} n={n}");
+        }
+        let all: Vec<u8> = (0..=255).rev().collect();
+        let mixed: Vec<u8> = (0..=255u8).map(|c| c.wrapping_mul(37)).collect();
+        assert_eq!(bit_lcs_alphabet(&all, &mixed), prefix_rowmajor(&all, &mixed));
     }
 
     #[test]

@@ -1108,8 +1108,8 @@ fn cmd_bench_baseline(rest: &[String]) -> Result<String, CliError> {
             engine.submit_wait(req).map_err(|e| err(e.to_string()))?;
         }
         // One ~99%-similar pair through the global-edit route records
-        // the output-sensitive path (osed.sa_build / osed.lcp_build /
-        // osed.edit / osed.bfs_round) in the same timeline.
+        // the output-sensitive path (osed.edit / osed.bfs_round) in the
+        // same timeline.
         let (pa, pb) = slcs_datagen::similar_pair(&mut rng, 2048, 4, 0.01);
         engine
             .submit_wait(slcs_engine::CompareRequest::new(
@@ -1489,20 +1489,19 @@ fn cmd_bench_mem(rest: &[String]) -> Result<String, CliError> {
 }
 
 /// `slcs bench-osed` — the output-sensitive edit-distance path
-/// (`slcs-osed`: SA+RMQ LCP oracle plus Landau–Vishkin diagonal BFS)
+/// (`slcs-osed`: Landau–Vishkin diagonal BFS over a direct 8-byte LCE)
 /// against the full-grid paths, over a similarity × size sweep.
 ///
 /// For every (size, similarity) cell a seeded σ = 4 pair is generated
-/// with [`slcs_datagen::similar_pair`]; the sequential and parallel BFS
-/// must agree bit-for-bit (and with the DP reference at small sizes),
-/// and the bounded variant must be exact at `k = d` and prove `> k` at
-/// `k = d − 1`. The grid baselines (row-major DP and the blown-up
-/// `EditDistances` index) are content-oblivious, so they are timed once
-/// per size; `ratio_vs_best_grid` divides osed's time by the *fastest*
-/// grid path. One BFS per cell also runs inside an
-/// [`slcs_alloc::AllocScope`]: SA-IS allocation counts are
-/// deterministic for a seeded input, which lets `cargo xtask perf-gate`
-/// pin them exactly like `bench-mem`'s.
+/// with [`slcs_datagen::similar_pair`]; the BFS must agree with the DP
+/// reference at small sizes, and the bounded variant must be exact at
+/// `k = d` and prove `> k` at `k = d − 1`. The grid baselines (row-major
+/// DP and the blown-up `EditDistances` index) are content-oblivious, so
+/// they are timed once per size; `ratio_vs_best_grid` divides osed's
+/// time by the *fastest* grid path. One BFS per cell also runs inside an
+/// [`slcs_alloc::AllocScope`]: its allocation count is deterministic
+/// for a seeded input, which lets `cargo xtask perf-gate` pin it
+/// exactly like `bench-mem`'s.
 fn cmd_bench_osed(rest: &[String]) -> Result<String, CliError> {
     let opts = Options::parse(rest, &["sizes", "runs", "out", "seed"])?;
     let quick = opts.has("quick");
@@ -1522,7 +1521,7 @@ fn cmd_bench_osed(rest: &[String]) -> Result<String, CliError> {
          similarities {sims:?}, {runs} run(s)\n"
     );
     let mut grids = Vec::new(); // (size, dp_ms, index_ms)
-    let mut rows = Vec::new(); // (size, sim, d, seq_ms, par_ms, allocs, bytes, peak, ratio)
+    let mut rows = Vec::new(); // (size, sim, d, osed_ms, allocs, bytes, peak, ratio)
     for &n in &sizes {
         // Grid timings are oblivious to string content, so one pair per
         // size serves both baselines (timed once: they run for seconds
@@ -1548,43 +1547,32 @@ fn cmd_bench_osed(rest: &[String]) -> Result<String, CliError> {
         for &sim in &sims {
             let mut rng = slcs_datagen::seeded_rng(seed.wrapping_add((sim * 1e4) as u64));
             let (a, b) = slcs_datagen::similar_pair(&mut rng, n, 4, 1.0 - sim);
-            let d_seq = slcs_osed::edit_distance(&a, &b);
-            let d_par = slcs_osed::par_edit_distance(&a, &b);
-            if d_seq != d_par {
-                return Err(err(format!(
-                    "parallel BFS diverged at size {n}, similarity {sim}: {d_seq} vs {d_par}"
-                )));
-            }
-            if n <= DP_VERIFY_MAX && d_seq != slcs_baselines::edit_distance(&a, &b) {
+            let d = slcs_osed::edit_distance(&a, &b);
+            if n <= DP_VERIFY_MAX && d != slcs_baselines::edit_distance(&a, &b) {
                 return Err(err(format!("BFS wrong at size {n}, similarity {sim}")));
             }
-            if slcs_osed::edit_distance_bounded(&a, &b, d_seq) != Some(d_seq)
-                || (d_seq > 0 && slcs_osed::edit_distance_bounded(&a, &b, d_seq - 1).is_some())
+            if slcs_osed::edit_distance_bounded(&a, &b, d) != Some(d)
+                || (d > 0 && slcs_osed::edit_distance_bounded(&a, &b, d - 1).is_some())
             {
                 return Err(err(format!("bounded BFS wrong at size {n}, similarity {sim}")));
             }
             let scope = slcs_alloc::AllocScope::enter(None);
             std::hint::black_box(slcs_osed::edit_distance(&a, &b));
             let alloc = scope.delta();
-            let seq = median_time(runs, || slcs_osed::edit_distance(&a, &b));
-            let par = median_time(runs, || slcs_osed::par_edit_distance(&a, &b));
-            let ratio = ms(seq).min(ms(par)) / best_grid_ms;
+            let osed_ms = ms(median_time(runs, || slcs_osed::edit_distance(&a, &b)));
+            let ratio = osed_ms / best_grid_ms;
             writeln!(
                 report,
-                "  {n} @ {:6.2}%  d={d_seq:<6} osed {:9.2} ms (par {:9.2} ms)  \
-                 {:>8} allocs  ratio {ratio:.4}",
+                "  {n} @ {:6.2}%  d={d:<6} osed {osed_ms:9.2} ms  {:>8} allocs  ratio {ratio:.4}",
                 100.0 * sim,
-                ms(seq),
-                ms(par),
                 alloc.allocs,
             )
             .unwrap(); // PANIC: fmt to String is infallible
             rows.push((
                 n,
                 sim,
-                d_seq,
-                ms(seq),
-                ms(par),
+                d,
+                osed_ms,
                 alloc.allocs,
                 alloc.alloc_bytes,
                 alloc.peak_live_delta,
@@ -1595,7 +1583,7 @@ fn cmd_bench_osed(rest: &[String]) -> Result<String, CliError> {
 
     let mut json = String::from("{\n");
     writeln!(json, "  \"bench\": \"bench-osed\",").unwrap(); // PANIC: fmt to String is infallible
-    writeln!(json, "  \"algorithm\": \"landau_vishkin_sa_rmq\",").unwrap(); // PANIC: fmt to String is infallible
+    writeln!(json, "  \"algorithm\": \"landau_vishkin_direct_lce\",").unwrap(); // PANIC: fmt to String is infallible
     writeln!(json, "  \"unit\": \"millis\",").unwrap(); // PANIC: fmt to String is infallible
     writeln!(json, "  \"quick\": {quick},").unwrap(); // PANIC: fmt to String is infallible
     writeln!(json, "  \"runs\": {runs},").unwrap(); // PANIC: fmt to String is infallible
@@ -1613,12 +1601,12 @@ fn cmd_bench_osed(rest: &[String]) -> Result<String, CliError> {
     }
     writeln!(json, "  ],").unwrap(); // PANIC: fmt to String is infallible
     writeln!(json, "  \"rows\": [").unwrap(); // PANIC: fmt to String is infallible
-    for (i, (n, sim, d, seq_ms, par_ms, allocs, bytes, peak, ratio)) in rows.iter().enumerate() {
+    for (i, (n, sim, d, osed_ms, allocs, bytes, peak, ratio)) in rows.iter().enumerate() {
         let comma = if i + 1 < rows.len() { "," } else { "" };
         writeln!(
             json,
             "    {{\"size\": {n}, \"similarity\": {sim}, \"distance\": {d}, \
-             \"osed_millis\": {seq_ms:.3}, \"osed_par_millis\": {par_ms:.3}, \
+             \"osed_millis\": {osed_ms:.3}, \
              \"allocs\": {allocs}, \"alloc_bytes\": {bytes}, \"peak_live_bytes\": {peak}, \
              \"ratio_vs_best_grid\": {ratio:.5}}}{comma}"
         )
@@ -2345,8 +2333,6 @@ mod tests {
             "engine.request",
             "team.run",
             "engine.dispatch",
-            "osed.sa_build",
-            "osed.lcp_build",
             "osed.edit",
             "osed.bfs_round",
             "engine.slow_capture",
@@ -2354,6 +2340,7 @@ mod tests {
             assert!(json.contains(span), "missing {span} in traced bench timeline");
         }
         assert!(json.contains("edit_similar"), "osed routing reason missing:\n{json:.300}");
+        assert!(!json.contains("osed.sa_build"), "a served EDIT built the suffix array");
         // The traced pass runs with the profiler on, so the artifact
         // carries the full surface `cargo xtask trace-check` requires:
         // phase instants plus named, ordered worker lanes.
@@ -2445,7 +2432,6 @@ mod tests {
             "\"similarity\": 0.99,",
             "\"similarity\": 0.999,",
             "\"osed_millis\"",
-            "\"osed_par_millis\"",
             "\"ratio_vs_best_grid\"",
             "\"dp_millis\"",
             "\"edit_index_millis\"",

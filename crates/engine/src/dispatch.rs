@@ -20,7 +20,8 @@
 //!   AVX2 on `u16` strand lanes while `m + n ≤ 2¹⁶`, selected once per
 //!   process from the running CPU, else the scalar loop.
 //! * **Output-sensitive BFS** (`slcs-osed`) — Landau–Vishkin O(n + d²)
-//!   edit distance. Wins by orders of magnitude when the inputs are
+//!   edit distance, sliding each diagonal with a direct 8-byte LCE and
+//!   building nothing first; sequential at every thread budget. Wins by orders of magnitude when the inputs are
 //!   nearly equal (small d), loses badly when they are not, so the
 //!   dispatcher samples similarity ([`similar_inputs`]) before routing
 //!   a global edit request to it. Thresholded requests
@@ -459,13 +460,8 @@ fn execute_inner(
             }
             let decision = decide(&req.op, pattern, text, threads);
             if decision.algo == AlgoChoice::OutputSensitive {
-                let global = if threads > 1 {
-                    slcs_osed::par_edit_distance(pattern, text)
-                } else {
-                    slcs_osed::edit_distance(pattern, text)
-                };
                 return (
-                    Payload::Edit { global, best: None },
+                    Payload::Edit { global: slcs_osed::edit_distance(pattern, text), best: None },
                     AlgoChoice::OutputSensitive,
                     CacheStatus::Bypass,
                     decision.reason,

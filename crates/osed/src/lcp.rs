@@ -5,6 +5,11 @@
 //! (SA-IS), the adjacent-rank LCP array (Kasai), and an idempotent
 //! sparse table over it, after which [`LcpOracle::lcp`] answers "how
 //! far do `a[i..]` and `b[j..]` match?" in O(1).
+//!
+//! This is the SA-based LCE of the parlay-style reference code. The
+//! BFS no longer uses it: the direct slide [`crate::lce`] answers the
+//! same question with nothing to build, so the oracle stays as a
+//! reproduction and as the reference the slide is tested against.
 
 use crate::suffix::suffix_array;
 
@@ -65,7 +70,7 @@ impl SparseTable {
 }
 
 /// O(1) longest-common-prefix queries between suffixes of two fixed
-/// strings, the oracle behind the diagonal BFS.
+/// strings, after an O((n + m) log (n + m)) build.
 pub struct LcpOracle {
     a: Vec<u8>,
     b: Vec<u8>,
@@ -113,9 +118,9 @@ impl LcpOracle {
 
     /// Length of the longest common prefix of `a[i..]` and `b[j..]`.
     ///
-    /// Mostly-matching rounds of the BFS extend by only a few symbols,
-    /// so an 8-byte direct probe (parlay's trick) runs first; only a
-    /// probe that survives all 8 comparisons pays the RMQ lookup.
+    /// Most queries on similar inputs extend by only a few symbols, so
+    /// an 8-byte direct probe (parlay's trick) runs first; only a probe
+    /// that survives all 8 comparisons pays the RMQ lookup.
     pub fn lcp(&self, i: usize, j: usize) -> usize {
         if i >= self.a.len() || j >= self.b.len() {
             return 0;

@@ -3,22 +3,22 @@
 //! Every other algorithm in this workspace pays for the full `n × m`
 //! grid even when the inputs are 99% identical — the production-
 //! realistic case (genome revisions, log/version diffing). This crate
-//! implements the Landau–Vishkin alternative: preprocess the pair so
-//! "how far do these two suffixes match?" is O(1), then breadth-first
-//! expand the edit-distance frontier one edit at a time, touching
-//! O(d²) cells for distance `d` instead of `n · m`.
+//! implements the Landau–Vishkin alternative: breadth-first expand the
+//! edit-distance frontier one edit at a time, sliding each diagonal
+//! down its run of matches, so a distance `d` costs O(d²) frontier
+//! cells instead of `n · m`.
 //!
-//! Layered bottom-up:
-//!
-//! * [`suffix`] — SA-IS suffix-array construction, linear time, no
-//!   external dependencies.
-//! * [`lcp`] — Kasai LCP array + sparse-table RMQ behind
-//!   [`LcpOracle`], with the parlay-style 8-byte direct probe before
-//!   the RMQ fallback.
-//! * [`bfs`] — the diagonal BFS: [`edit_distance`] (sequential),
-//!   [`edit_distance_bounded`] (early exit past a threshold `k`), and
-//!   [`par_edit_distance`] (per-round frontier extension on the
-//!   vendored rayon pool, bit-equivalent to sequential).
+//! * [`bfs`] — the diagonal BFS and the LCE it slides with:
+//!   [`edit_distance`], [`edit_distance_bounded`] (early exit past a
+//!   threshold `k`), [`par_edit_distance`] (an alias of
+//!   [`edit_distance`]), and [`lce`], the direct longest common
+//!   extension that compares eight bytes at a time. No request builds
+//!   anything before the search.
+//! * [`suffix`] and [`lcp`] — SA-IS suffix array, Kasai LCP array and
+//!   sparse-table RMQ behind [`LcpOracle`]: the SA-based LCE of the
+//!   parlay-style reference code (an 8-byte direct probe before the
+//!   RMQ), kept as a reproduction and as the reference [`lce`] is
+//!   tested against. No request path builds it.
 //!
 //! The engine's adaptive dispatcher routes high-similarity `EDIT`
 //! requests here (see `docs/OSED.md`); everything in this crate is
@@ -33,8 +33,6 @@ pub mod bfs;
 pub mod lcp;
 pub mod suffix;
 
-pub use bfs::{
-    edit_distance, edit_distance_bounded, par_edit_distance, par_edit_distance_grain, PAR_GRAIN,
-};
+pub use bfs::{edit_distance, edit_distance_bounded, lce, par_edit_distance};
 pub use lcp::{LcpOracle, SparseTable};
 pub use suffix::suffix_array;
